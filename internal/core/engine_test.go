@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -126,6 +128,62 @@ func TestEngineIdentityExamples(t *testing.T) {
 				assertResultsIdentical(t, results[0], results[1])
 			}
 		})
+	}
+}
+
+// TestEngineIdentitySmallDirectMappedL1 is the regression test for a missed
+// wake: under (2+0) with a 2 KiB direct-mapped L1, a load rejected while its
+// set's only way was still filling computed a fill wake of now+1, which the
+// engine dropped; the only other fills in flight were write-allocates from
+// store commits, which register no wake, so the event engine skipped past
+// the fill and hit the watchdog where the tick engine finishes.
+func TestEngineIdentitySmallDirectMappedL1(t *testing.T) {
+	cfg := config.Default().WithPorts(2, 0)
+	cfg.L1 = config.CacheParams{SizeBytes: 2 * 1024, LineBytes: 32, Assoc: 1, HitLatency: 1}
+	tick, terr := runEngine(t, "tomcatv", 0.02, cfg, EngineTick)
+	event, eerr := runEngine(t, "tomcatv", 0.02, cfg, EngineEvent)
+	if terr != nil || eerr != nil {
+		t.Fatalf("run errors: tick=%v event=%v", terr, eerr)
+	}
+	if tick.Cycles != 26336 {
+		t.Errorf("tick engine: %d cycles, want 26336", tick.Cycles)
+	}
+	assertResultsIdentical(t, tick, event)
+}
+
+// TestEngineIdentitySmallL1Sweep runs every workload under both engines on
+// small, conflict-heavy L1 geometries (1-4 KiB, direct-mapped or 2-way, hit
+// latency 1-2), where MSHR-rejected accesses are common: four draws per
+// workload on the unified (2+0) machine, whose single stream takes every
+// conflict miss, and one on the optimized (3+2). The draws come from a
+// fixed seed, so a failure reproduces.
+func TestEngineIdentitySmallL1Sweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	sizes := []int{1024, 2048, 4096}
+	for _, w := range workload.All() {
+		for i := 0; i < 5; i++ {
+			cfg := config.Default().WithPorts(2, 0)
+			if i == 4 {
+				cfg = config.Default().WithPorts(3, 2).WithOptimizations(2)
+			}
+			cfg.L1 = config.CacheParams{
+				SizeBytes:  sizes[rng.Intn(len(sizes))],
+				LineBytes:  32,
+				Assoc:      1 + rng.Intn(2),
+				HitLatency: uint64(1 + rng.Intn(2)),
+			}
+			name := fmt.Sprintf("%s/%s-%dB-%dway-hl%d", w.Name, cfg.Name(),
+				cfg.L1.SizeBytes, cfg.L1.Assoc, cfg.L1.HitLatency)
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				tick, terr := runEngine(t, w.Name, 0.02, cfg, EngineTick)
+				event, eerr := runEngine(t, w.Name, 0.02, cfg, EngineEvent)
+				if terr != nil || eerr != nil {
+					t.Fatalf("run errors: tick=%v event=%v", terr, eerr)
+				}
+				assertResultsIdentical(t, tick, event)
+			})
+		}
 	}
 }
 
