@@ -828,16 +828,6 @@ func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 		Name: "L2", SizeBytes: cfg.L2.SizeBytes, LineBytes: cfg.L2.LineBytes,
 		Assoc: cfg.L2.Assoc, HitLatency: cfg.L2.HitLatency, MSHRs: 64,
 	}, c.mem)
-	// Seed the pool from one contiguous slab: the intrusive walks
-	// (pending-access lists, wheel buckets) chase pointers across live
-	// entries every cycle, and a compact arena keeps those loads inside
-	// a few pages instead of scattered heap allocations. The population
-	// is the ROB plus retired producers still held in dep slots; the
-	// pool falls back to the heap if it ever runs dry.
-	slab := make([]uop, 3*cfg.ROBSize)
-	for i := len(slab) - 1; i >= 0; i-- {
-		c.freeUops = append(c.freeUops, &slab[i])
-	}
 	if len(cfg.Streams()) > coreStreams {
 		return nil, ErrTooManyStreams
 	}

@@ -285,3 +285,153 @@ func TestEngineParse(t *testing.T) {
 		t.Fatal("Engine.String round-trip broken")
 	}
 }
+
+// knobReader decodes machine-configuration knobs from a byte string, one
+// byte per draw; an exhausted string reads as zeros. The seeded
+// config-space test feeds it random bytes and the fuzz target feeds it the
+// fuzzer's input, so both explore the same space.
+type knobReader []byte
+
+func (k *knobReader) pick(n int) int {
+	if len(*k) == 0 {
+		return 0
+	}
+	b := (*k)[0]
+	*k = (*k)[1:]
+	return int(b) % n
+}
+
+func (k *knobReader) flag() bool { return k.pick(2) == 1 }
+
+// cacheKnobs draws a cache geometry with 32-byte lines whose set count is
+// a power of two, as the cache model requires.
+func (k *knobReader) cacheKnobs(sizes, assocs []int, maxHit int) config.CacheParams {
+	return config.CacheParams{
+		SizeBytes:  sizes[k.pick(len(sizes))],
+		LineBytes:  32,
+		Assoc:      assocs[k.pick(len(assocs))],
+		HitLatency: uint64(1 + k.pick(maxHit)),
+	}
+}
+
+// configFromKnobs builds a Validate-legal machine in which every knob is
+// drawn: the N+M port mix and both port models, the L1/L2/LVC geometries
+// and hit latencies, memory latency, ROB/LSQ/LVAQ sizes, issue width and
+// functional-unit counts, the annotation TLB, the recovery penalty, the
+// steering policy and both §2.2.2 optimizations with their static
+// variants.
+func configFromKnobs(k knobReader) config.Config {
+	cfg := config.Default().WithPorts(1+k.pick(4), k.pick(4))
+	cfg.DCachePortModel = config.PortModel(k.pick(3))
+	cfg.LVCPortModel = config.PortModel(k.pick(3))
+	cfg.L1 = k.cacheKnobs([]int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 32 << 10}, []int{1, 2, 4}, 3)
+	cfg.L2 = k.cacheKnobs([]int{16 << 10, 64 << 10, 512 << 10}, []int{1, 2, 4, 8}, 16)
+	cfg.LVC = k.cacheKnobs([]int{256, 512, 1 << 10, 2 << 10, 4 << 10}, []int{1, 2}, 2)
+	cfg.MemLatency = uint64(k.pick(101))
+	cfg.ROBSize = 4 + k.pick(253)
+	cfg.LSQSize = 1 + k.pick(64)
+	cfg.LVAQSize = 1 + k.pick(64)
+	cfg.IssueWidth = 1 + k.pick(16)
+	cfg.IntALUs = 1 + k.pick(16)
+	cfg.FPALUs = 1 + k.pick(16)
+	cfg.IntMulDiv = 1 + k.pick(4)
+	cfg.FPMulDiv = 1 + k.pick(4)
+	if k.flag() {
+		cfg.TLBEntries = 1 + k.pick(32)
+		cfg.TLBMissLatency = uint64(k.pick(30))
+	}
+	cfg.RecoveryPenalty = uint64(k.pick(20))
+	cfg.Steering = config.SteeringPolicy(k.pick(6))
+	cfg.FastForward = k.flag()
+	cfg.CombineWidth = 1 + k.pick(4)
+	cfg.ForwardStatic = cfg.FastForward && k.flag()
+	cfg.CombineStatic = cfg.CombineWidth > 1 && k.flag()
+	return cfg
+}
+
+// engineTestPrograms returns every workload at scale 0.02, hinted and
+// hint-stripped, plus every shipped examples/asm program.
+func engineTestPrograms(tb testing.TB) []*asm.Program {
+	tb.Helper()
+	var progs []*asm.Program
+	for _, w := range workload.All() {
+		progs = append(progs, w.Program(0.02), w.ProgramStripped(0.02))
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "asm", "*.s"))
+	if err != nil || len(paths) == 0 {
+		tb.Fatalf("examples: %v (%d files)", err, len(paths))
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		prog, err := asm.Assemble(filepath.Base(path), string(src))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	return progs
+}
+
+// assertEnginesAgree runs prog under cfg on both engines and requires
+// identical outcomes: equal Results, or equal typed failures.
+func assertEnginesAgree(t *testing.T, prog *asm.Program, cfg config.Config) {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("drew an invalid config: %v", err)
+	}
+	var results [2]*Result
+	var errs [2]error
+	for i, e := range []Engine{EngineTick, EngineEvent} {
+		c, err := New(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i], errs[i] = c.RunWith(context.Background(), RunOptions{Engine: e})
+	}
+	if errs[0] != nil || errs[1] != nil {
+		if !reflect.DeepEqual(errs[0], errs[1]) {
+			t.Fatalf("outcomes diverge under %+v:\n tick:  %v\n event: %v", cfg, errs[0], errs[1])
+		}
+		return
+	}
+	assertResultsIdentical(t, results[0], results[1])
+}
+
+// TestEngineIdentityConfigSpace is the config-space differential: every
+// workload (hinted and stripped) and every example runs under machines
+// drawn from the whole Validate-legal knob space, and the two engines
+// must agree exactly. The draws come from a fixed seed, so a failure
+// reproduces; FuzzEngineIdentity explores beyond them.
+func TestEngineIdentityConfigSpace(t *testing.T) {
+	const drawsPerProgram = 3
+	rng := rand.New(rand.NewSource(13))
+	for i, prog := range engineTestPrograms(t) {
+		for d := 0; d < drawsPerProgram; d++ {
+			knobs := make([]byte, 64)
+			rng.Read(knobs)
+			cfg := configFromKnobs(knobs)
+			t.Run(fmt.Sprintf("%d-%s/%d-%s-%s", i, prog.Name, d, cfg.Name(), cfg.Steering), func(t *testing.T) {
+				t.Parallel()
+				assertEnginesAgree(t, prog, cfg)
+			})
+		}
+	}
+}
+
+// FuzzEngineIdentity drives the same differential from fuzzer-chosen
+// knobs: the first byte picks the program, the rest the machine.
+func FuzzEngineIdentity(f *testing.F) {
+	progs := engineTestPrograms(f)
+	f.Add([]byte{0})
+	f.Add([]byte{7, 2, 2, 1, 2, 0, 1, 2, 3, 1, 3, 1, 0, 49, 124, 63, 63, 15, 15, 15, 3, 3, 0, 8, 5, 1, 1, 1, 0, 0})
+	f.Add([]byte{30, 0, 1, 2, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 1, 3, 9, 19, 5, 1, 3, 1, 1})
+	f.Add([]byte{13, 3, 3, 0, 0, 4, 2, 2, 2, 3, 7, 4, 1, 99, 252, 0, 0, 0, 0, 0, 0, 0, 1, 31, 29, 0, 4, 1, 2, 0, 1})
+	f.Fuzz(func(t *testing.T, knobs []byte) {
+		k := knobReader(knobs)
+		prog := progs[k.pick(len(progs))]
+		assertEnginesAgree(t, prog, configFromKnobs(k))
+	})
+}

@@ -102,37 +102,14 @@ func (r *Runner) ResultCtx(ctx context.Context, w workload.Workload, cfg config.
 	return res, nil
 }
 
-// ResultOptsCtx is ResultCtx with per-run RunOptions replacing the
-// runner's RunOpts for this run only. The result cache is shared with the
-// other Result variants: a completed run is deterministic regardless of
-// its budget, so budget-only option differences cannot poison the cache.
-// A run whose options carry a fault injector is the exception — injected
-// faults perturb timing on purpose — so injector-armed runs bypass the
-// cache entirely (neither hitting nor filling it) while keeping the same
-// panic containment.
-func (r *Runner) ResultOptsCtx(ctx context.Context, w workload.Workload, cfg config.Config, opts core.RunOptions) (*core.Result, error) {
-	run := func() (*core.Result, error) {
-		if r.testRun != nil {
-			return r.testRun(w, cfg)
-		}
-		return r.runProgramOpts(ctx, r.program(w), cfg, opts)
-	}
-	var res *core.Result
-	var err error
-	if opts.Injector != nil {
-		res, err = r.containedRun(run)
-	} else {
-		res, err = r.cachedRun(cfgKey(w.Name, cfg), w.Name, cfg, run)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s under %s: %w", w.Name, cfg.Name(), err)
-	}
-	return res, nil
-}
-
-// ResultProgramOptsCtx is ResultProgramCtx with per-run RunOptions, under
-// the same cache rules as ResultOptsCtx (injector-armed runs are never
-// cached).
+// ResultProgramOptsCtx is ResultProgramCtx with per-run RunOptions
+// replacing the runner's RunOpts for this run only. The result cache is
+// shared with the other Result variants: a completed run is deterministic
+// regardless of its budget, so budget-only option differences cannot
+// poison the cache. A run whose options carry a fault injector is the
+// exception — injected faults perturb timing on purpose — so
+// injector-armed runs bypass the cache entirely (neither hitting nor
+// filling it) while keeping the same panic containment.
 func (r *Runner) ResultProgramOptsCtx(ctx context.Context, name string, prog *asm.Program, cfg config.Config, opts core.RunOptions) (*core.Result, error) {
 	run := func() (*core.Result, error) {
 		return r.runProgramOpts(ctx, prog, cfg, opts)

@@ -8,7 +8,7 @@ import (
 
 // checkHotpath gates the zero-steady-state-allocation claim of the
 // event-driven engine: every function annotated //ddvet:hotpath (the cycle
-// body and its stages, memsys Grant/Process, the sched heap ops) is checked
+// body and its stages, memsys Grant, the sched heap ops) is checked
 // two ways.
 //
 // AST rules flag constructs that allocate by construction:
