@@ -10,17 +10,23 @@
 // The spec (sweep/v1) declares the grid — workloads x port geometries x
 // steering policies x engines x optimization modes, with explicit point
 // exclusions — and ddsweep drives every expanded point to a terminal
-// state: health-probed load-aware dispatch, bounded retries with backoff
-// that honors the server's Retry-After, hedged requests for stragglers,
-// and a per-backend circuit breaker. With -checkpoint each completed
-// point is persisted (atomic temp+rename) and -resume re-runs only the
-// missing ones; a defective checkpoint file self-heals to empty with a
-// logged, counted notice.
+// state: each point goes to its home backend, picked by rendezvous
+// hashing of the point key over the backend URLs (so the order of
+// -backends does not matter and a repeated point hits the cache of the
+// backend that computed it), or to its next-ranked backend while the
+// home is unready, cooling or breaker-open; at most -parallel/backends
+// points (rounded up) are in flight per home; bounded retries with
+// backoff honor the server's Retry-After; hedged requests rescue
+// stragglers; and each backend has a circuit breaker. With -checkpoint
+// each completed point is persisted (atomic temp+rename) and -resume
+// re-runs only the missing ones; a defective checkpoint file self-heals
+// to empty with a logged, counted notice.
 //
 // The figure JSON on stdout (or -out) is byte-identical for a given spec
 // regardless of backend count, hedging, retries or resume. Diagnostics —
 // the per-backend / per-outcome census — go to stderr, and -census
-// writes them as a JSON artifact.
+// writes them as a JSON artifact. The census counts, per backend, the
+// answers served from its result cache.
 //
 // Exit status: 0 when every point completed, 1 when some points failed
 // or the sweep was interrupted (the figure then holds the completed
@@ -50,7 +56,7 @@ func main() {
 		resume    = flag.Bool("resume", false, "resume from -checkpoint, re-running only missing points")
 		parallel  = flag.Int("parallel", 0, "points in flight across all backends (0 = 2x backends)")
 		retries   = flag.Int("retries", 0, "attempts per point (0 = 6)")
-		hedge     = flag.Duration("hedge", 0, "re-issue a straggling point on a second backend after this delay (0 = off)")
+		hedge     = flag.Duration("hedge", 0, "re-issue a straggling point on its next-ranked backend after this delay (0 = off)")
 		probe     = flag.Duration("probe", 0, "/readyz health-probe interval (0 = 1s)")
 		breakHits = flag.Int("breakfails", 0, "consecutive transient failures that open a backend's breaker (0 = 3)")
 		breakCool = flag.Duration("breakcool", 0, "breaker open-state cooldown before the half-open probe (0 = 2s)")

@@ -10,23 +10,23 @@ import (
 	"time"
 )
 
-// backend is one ddserve instance: its URL, probed readiness, in-flight
-// load, Retry-After cooling window, circuit breaker and census counters.
+// backend is one ddserve instance: its URL, probed readiness, Retry-After
+// cooling window, circuit breaker and census counters.
 type backend struct {
 	url  string
 	name string // short display label ("b0", "b1", ...)
+	pos  int    // index in Options.Backends
 
 	client *http.Client
 
 	ready     atomic.Bool
 	probed    atomic.Bool  // at least one probe completed
-	inflight  atomic.Int64 // jobs currently posted
 	coolUntil atomic.Int64 // unix nanos; Retry-After backpressure window
 
 	br *breaker
 
 	// census counters (atomics: bumped from many workers).
-	dispatched, ok, transient, terminal, shed, hedgeWins atomic.Uint64
+	dispatched, ok, cached, transient, terminal, shed, hedgeWins atomic.Uint64
 }
 
 // dispatchable reports whether the backend may receive a job right now,
@@ -100,6 +100,7 @@ type BackendCensus struct {
 	URL          string `json:"url"`
 	Dispatched   uint64 `json:"dispatched"`
 	OK           uint64 `json:"ok"`
+	Cached       uint64 `json:"cached"` // OK answers served from the result cache
 	Transient    uint64 `json:"transient"`
 	Terminal     uint64 `json:"terminal"`
 	Shed         uint64 `json:"shed"`
@@ -115,6 +116,7 @@ func (b *backend) census() BackendCensus {
 		URL:          b.url,
 		Dispatched:   b.dispatched.Load(),
 		OK:           b.ok.Load(),
+		Cached:       b.cached.Load(),
 		Transient:    b.transient.Load(),
 		Terminal:     b.terminal.Load(),
 		Shed:         b.shed.Load(),
@@ -125,6 +127,6 @@ func (b *backend) census() BackendCensus {
 }
 
 func (c BackendCensus) String() string {
-	return fmt.Sprintf("%s %s: dispatched=%d ok=%d transient=%d terminal=%d shed=%d hedge-wins=%d breaker=%s(opens=%d)",
-		c.Name, c.URL, c.Dispatched, c.OK, c.Transient, c.Terminal, c.Shed, c.HedgeWins, c.BreakerState, c.BreakerOpens)
+	return fmt.Sprintf("%s %s: dispatched=%d ok=%d cached=%d transient=%d terminal=%d shed=%d hedge-wins=%d breaker=%s(opens=%d)",
+		c.Name, c.URL, c.Dispatched, c.OK, c.Cached, c.Transient, c.Terminal, c.Shed, c.HedgeWins, c.BreakerState, c.BreakerOpens)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"net/http"
@@ -27,10 +28,12 @@ var ErrPointsFailed = errors.New("sweep: some points failed")
 // defaults; Backends is the only mandatory field.
 type Options struct {
 	// Backends are the ddserve base URLs ("http://host:port") jobs are
-	// sharded across.
+	// sharded across. Each point has a home among them, chosen by hashing
+	// its key with the URLs, so the order of the list does not matter.
 	Backends []string
 	// Parallel is the number of concurrent points in flight across all
-	// backends (default 2 x backends).
+	// backends (default 2 x backends). At most Parallel/len(Backends),
+	// rounded up, of them share a home backend at a time.
 	Parallel int
 	// MaxAttempts bounds the tries per point, hedges not counted
 	// (default 6).
@@ -40,10 +43,10 @@ type Options struct {
 	// computed backoff wins.
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// Hedge re-issues a still-running attempt on a second backend after
-	// this delay; the first result wins and the loser is cancelled
-	// (0 disables hedging). Hedged duplicates are idempotent: identical
-	// in-flight jobs coalesce onto one simulation server-side.
+	// Hedge re-issues a still-running attempt on the point's next-ranked
+	// backend after this delay; the first result wins and the loser is
+	// cancelled (0 disables hedging). Hedged duplicates are idempotent:
+	// identical in-flight jobs coalesce onto one simulation server-side.
 	Hedge time.Duration
 	// ProbeInterval is the /readyz health-probe period (default 1s).
 	ProbeInterval time.Duration
@@ -216,6 +219,7 @@ func New(spec *Spec, opts Options) (*Coordinator, error) {
 		c.backends = append(c.backends, &backend{
 			url:    strings.TrimRight(url, "/"),
 			name:   fmt.Sprintf("b%d", i),
+			pos:    i,
 			client: opts.HTTPClient,
 			br:     newBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 		})
@@ -248,7 +252,24 @@ func (c *Coordinator) Run(ctx context.Context) (*Figure, *Census, error) {
 	// results is indexed by point position: workers write disjoint slots,
 	// so assembly needs no ordering from the workers at all.
 	results := make([]*FigurePoint, len(c.points))
+	orders := make([][]*backend, len(c.points))
+	queues := make([][]int, len(c.backends)) // undispatched points per home, in point order
+	pending := 0
+	for idx, p := range c.points {
+		if fp := c.ck.completed(p.Key); fp != nil {
+			results[idx] = fp
+			c.count("resumed")
+			c.notify(p.Key, "resumed")
+			continue
+		}
+		orders[idx] = c.rank(p.Key)
+		home := orders[idx][0].pos
+		queues[home] = append(queues[home], idx)
+		pending++
+	}
+
 	todo := make(chan int)
+	freed := make(chan int, pending) // the home of each finished point: one send per point, never blocks
 	var wg sync.WaitGroup
 	for w := 0; w < c.opts.Parallel; w++ {
 		wg.Add(1)
@@ -256,7 +277,8 @@ func (c *Coordinator) Run(ctx context.Context) (*Figure, *Census, error) {
 			defer wg.Done()
 			for idx := range todo {
 				p := c.points[idx]
-				fp, err := c.runPoint(ctx, p)
+				fp, err := c.runPoint(ctx, p, orders[idx])
+				freed <- orders[idx][0].pos
 				if err != nil {
 					c.failPoint(p.Key, err.Error())
 					c.notify(p.Key, "failed:"+err.Error())
@@ -270,18 +292,33 @@ func (c *Coordinator) Run(ctx context.Context) (*Figure, *Census, error) {
 		}()
 	}
 
+	// The feed hands a free worker the oldest point whose home backend is
+	// running fewer than its share of the sweep's points, and otherwise
+	// waits for a point to finish. Without it, two new points with one
+	// home queue behind each other on that backend while another idles.
+	share := (c.opts.Parallel + len(c.backends) - 1) / len(c.backends)
+	running := make([]int, len(c.backends))
 	dispatched := 0
 feed:
-	for idx, p := range c.points {
-		if fp := c.ck.completed(p.Key); fp != nil {
-			results[idx] = fp
-			c.count("resumed")
-			c.notify(p.Key, "resumed")
-			continue
+	for dispatched < pending {
+		home := -1
+		for h, q := range queues {
+			if len(q) > 0 && running[h] < share && (home < 0 || q[0] < queues[home][0]) {
+				home = h
+			}
+		}
+		var send chan<- int // nil, so never ready, while every home is at its share
+		next := -1
+		if home >= 0 {
+			send, next = todo, queues[home][0]
 		}
 		select {
-		case todo <- idx:
+		case send <- next:
+			queues[home] = queues[home][1:]
+			running[home]++
 			dispatched++
+		case h := <-freed:
+			running[h]--
 		case <-ctx.Done():
 			break feed
 		}
@@ -385,9 +422,9 @@ func (c *Coordinator) backoff(attempt int, retryAfter time.Duration) time.Durati
 // runPoint drives one point to a terminal state: bounded attempts with
 // backoff between them, each attempt possibly hedged. Terminal verdicts
 // stop immediately — retrying a deterministic failure wastes a backend.
-func (c *Coordinator) runPoint(ctx context.Context, p Point) (*FigurePoint, error) {
+func (c *Coordinator) runPoint(ctx context.Context, p Point, order []*backend) (*FigurePoint, error) {
 	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
-		v := c.attempt(ctx, p)
+		v := c.attempt(ctx, p, order)
 		switch v.class {
 		case verdictOK:
 			return v.fp, nil
@@ -435,17 +472,17 @@ type verdict struct {
 	from       *backend
 }
 
-// attempt runs one (possibly hedged) try: the point goes to the least
-// loaded admissible backend; if a hedge delay is configured and elapses
-// without a result, a duplicate goes to a second backend and the first
-// verdict wins. Losers are cancelled, not awaited to completion
-// server-side — the runner coalesces the duplicate onto the winner's
-// simulation anyway.
-func (c *Coordinator) attempt(ctx context.Context, p Point) verdict {
+// attempt runs one (possibly hedged) try: the point goes to the first
+// admissible backend in its rank order; if a hedge delay is configured
+// and elapses without a result, a duplicate goes to the next admissible
+// backend in that order and the first decisive verdict wins. Losers are
+// cancelled, not awaited to completion server-side — the runner
+// coalesces the duplicate onto the winner's simulation anyway.
+func (c *Coordinator) attempt(ctx context.Context, p Point, order []*backend) verdict {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	primary := c.waitBackend(actx, nil)
+	primary := c.waitBackend(actx, order)
 	if primary == nil {
 		if ctx.Err() != nil {
 			return verdict{class: verdictCanceled, reason: "canceled"}
@@ -471,6 +508,7 @@ func (c *Coordinator) attempt(ctx context.Context, p Point) verdict {
 	}
 
 	var final verdict
+	var hedge *backend // the hedge copy's backend, once launched
 	decided := false
 	for got := 0; got < launched; {
 		select {
@@ -481,8 +519,9 @@ func (c *Coordinator) attempt(ctx context.Context, p Point) verdict {
 			}
 			// Only a different backend is worth a hedge; skip silently if
 			// none will take it right now.
-			if hb := c.pickBackend(time.Now(), primary); hb != nil {
+			if hb := pickBackend(time.Now(), order, primary); hb != nil {
 				c.count("hedge-launched")
+				hedge = hb
 				launched++
 				posts.Add(1)
 				go func() {
@@ -494,18 +533,12 @@ func (c *Coordinator) attempt(ctx context.Context, p Point) verdict {
 			got++
 			switch {
 			case decided:
-				// The loser's verdict: our own cancel produced it unless the
-				// loser finished on its own in the race window.
-				if launched > 1 {
-					c.count("hedge-lost")
-				}
+				// The loser's verdict, usually produced by our own cancel:
+				// the attempt is already settled and the hedge is censused
+				// below.
 			case v.class == verdictOK || v.class == verdictTerminal:
 				// First decisive answer wins; cancel the other post.
 				final, decided = v, true
-				if launched > 1 && v.class == verdictOK {
-					c.count("hedge-won")
-					v.from.hedgeWins.Add(1)
-				}
 				cancel()
 			case got == launched && hedgeCh == nil:
 				// Every post came back indecisive: the attempt fails with the
@@ -519,10 +552,23 @@ func (c *Coordinator) attempt(ctx context.Context, p Point) verdict {
 		case <-ctx.Done():
 			cancel()
 			posts.Wait()
+			if hedge != nil {
+				c.count("hedge-lost")
+			}
 			return verdict{class: verdictCanceled, reason: "canceled"}
 		}
 	}
 	posts.Wait()
+	// The hedge copy alone is censused: it won only if it delivered the
+	// result, so hedge-won + hedge-lost = hedge-launched.
+	if hedge != nil {
+		if decided && final.class == verdictOK && final.from == hedge {
+			c.count("hedge-won")
+			hedge.hedgeWins.Add(1)
+		} else {
+			c.count("hedge-lost")
+		}
+	}
 	if !decided && final.class == verdictCanceled && ctx.Err() == nil {
 		// Both posts raced our hedge cancel; treat as transient.
 		final = verdict{class: verdictTransient, reason: "hedge-race",
@@ -535,22 +581,49 @@ func (c *Coordinator) attempt(ctx context.Context, p Point) verdict {
 	return final
 }
 
-// pickBackend returns the admissible backend with the fewest jobs in
-// flight, excluding one (the hedge's primary), or nil. Candidates are
-// filtered and ordered first; breaker acquisition — which may claim the
-// single half-open probe slot — happens only in preference order.
-func (c *Coordinator) pickBackend(now time.Time, exclude *backend) *backend {
-	var cands []*backend
-	for _, b := range c.backends {
-		if b != exclude && b.dispatchable(now) {
-			cands = append(cands, b)
-		}
+// rank orders the backends for one point key by rendezvous (highest
+// random weight) hashing: a backend's weight is FNV-64a over its URL, a
+// NUL and the key, and the heaviest backend is the point's home. The
+// order is a pure function of the key and the URL set, so the fresh
+// Coordinator of every sweep, a resumed one and a separate ddsweep
+// process all send a repeated point to the backend whose result cache
+// already holds it. Removing a backend moves only the points it was home
+// to.
+func (c *Coordinator) rank(key string) []*backend {
+	type weighted struct {
+		b *backend
+		w uint64
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].inflight.Load() < cands[j].inflight.Load()
+	ws := make([]weighted, len(c.backends))
+	for i, b := range c.backends {
+		h := fnv.New64a()
+		io.WriteString(h, b.url)
+		h.Write([]byte{0})
+		io.WriteString(h, key)
+		ws[i] = weighted{b, h.Sum64()}
+	}
+	sort.SliceStable(ws, func(i, j int) bool {
+		if ws[i].w != ws[j].w {
+			return ws[i].w > ws[j].w
+		}
+		return ws[i].b.url < ws[j].b.url
 	})
-	for _, b := range cands {
-		if b.br.acquire(now) {
+	order := make([]*backend, len(ws))
+	for i, x := range ws {
+		order[i] = x.b
+	}
+	return order
+}
+
+// pickBackend returns the first admissible backend in the point's rank
+// order, skipping exclude (the hedge's primary), or nil. Not-ready,
+// cooling and breaker-open backends are passed over, so the point falls
+// back to its next-ranked backend and returns home once the home admits
+// again. Breaker acquisition — which may claim the single half-open probe
+// slot — happens only in rank order.
+func pickBackend(now time.Time, order []*backend, exclude *backend) *backend {
+	for _, b := range order {
+		if b != exclude && b.dispatchable(now) && b.br.acquire(now) {
 			return b
 		}
 	}
@@ -561,11 +634,11 @@ func (c *Coordinator) pickBackend(now time.Time, exclude *backend) *backend {
 // ends, or DispatchWait expires. The poll period is short relative to
 // probe intervals and breaker cooldowns, which are what actually gate
 // admission.
-func (c *Coordinator) waitBackend(ctx context.Context, exclude *backend) *backend {
+func (c *Coordinator) waitBackend(ctx context.Context, order []*backend) *backend {
 	deadline := time.NewTimer(c.opts.DispatchWait)
 	defer deadline.Stop()
 	for {
-		if b := c.pickBackend(time.Now(), exclude); b != nil {
+		if b := pickBackend(time.Now(), order, nil); b != nil {
 			return b
 		}
 		t := time.NewTimer(25 * time.Millisecond)
@@ -593,8 +666,6 @@ func (c *Coordinator) post(ctx context.Context, b *backend, p Point) verdict {
 }
 
 func (c *Coordinator) post1(ctx context.Context, b *backend, p Point) verdict {
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
 	b.dispatched.Add(1)
 
 	spec := serve.JobSpec{
@@ -652,6 +723,9 @@ func (c *Coordinator) post1(ctx context.Context, b *backend, p Point) verdict {
 			return verdict{class: verdictTransient, reason: "bad-result", detail: detail}
 		}
 		b.ok.Add(1)
+		if res.Cached {
+			b.cached.Add(1)
+		}
 		b.br.success()
 		return verdict{class: verdictOK, reason: "ok", fp: &FigurePoint{
 			Key:           p.Key,

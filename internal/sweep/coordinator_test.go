@@ -69,6 +69,12 @@ func decodeSpec(t *testing.T, r *http.Request) serve.JobSpec {
 // /jobs handled by jobs (nil = always answer stubResult).
 func newStub(t *testing.T, jobs http.HandlerFunc) *httptest.Server {
 	t.Helper()
+	srv := httptest.NewServer(stubHandler(t, jobs))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+func stubHandler(t *testing.T, jobs http.HandlerFunc) http.Handler {
 	if jobs == nil {
 		jobs = func(w http.ResponseWriter, r *http.Request) {
 			respondJSON(w, http.StatusOK, stubResult(decodeSpec(t, r)))
@@ -79,9 +85,37 @@ func newStub(t *testing.T, jobs http.HandlerFunc) *httptest.Server {
 		fmt.Fprintln(w, "ready")
 	})
 	mux.HandleFunc("/jobs", jobs)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
+	return mux
+}
+
+// rankedStubs starts one fake backend per role and gives role i to the
+// backend of rank i for key, so a test's home backend is the one its
+// point is really dispatched to first. The rank depends on the URLs, so
+// the roles are assigned between listening and serving. The servers come
+// back in rank order, home first.
+func rankedStubs(t *testing.T, key string, roles ...http.HandlerFunc) []*httptest.Server {
+	t.Helper()
+	byURL := map[string]*httptest.Server{}
+	var urls []string
+	for range roles {
+		srv := httptest.NewUnstartedServer(nil)
+		url := "http://" + srv.Listener.Addr().String()
+		byURL[url] = srv
+		urls = append(urls, url)
+	}
+	c, err := New(testSpec(), Options{Backends: urls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*httptest.Server
+	for i, b := range c.rank(key) {
+		srv := byURL[b.url]
+		srv.Config.Handler = stubHandler(t, roles[i])
+		srv.Start()
+		t.Cleanup(srv.Close)
+		out = append(out, srv)
+	}
+	return out
 }
 
 func fastOpts(backends ...string) Options {
@@ -198,16 +232,17 @@ func TestRetriesTransientThenSucceeds(t *testing.T) {
 }
 
 // A shed cools the backend for the server's Retry-After window: the
-// retry waits it out and goes to the other backend.
+// retry waits it out and goes to the other backend. The shedder is the
+// point's home, so the first attempt meets the shed.
 func TestShedHonorsRetryAfter(t *testing.T) {
-	shedder := newStub(t, func(w http.ResponseWriter, r *http.Request) {
+	spec := &Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}}
+	stubs := rankedStubs(t, "li/2+0/hint/event/base", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		respondJSON(w, http.StatusTooManyRequests, serve.ErrorBody{
 			Error: "queue full", Kind: "queue-full", Retryable: true, RetryAfterSeconds: 1,
 		})
-	})
-	ok := newStub(t, nil)
-	spec := &Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}}
+	}, nil)
+	shedder, ok := stubs[0], stubs[1]
 
 	start := time.Now()
 	fig, census, err := runSweep(t, spec, fastOpts(shedder.URL, ok.URL))
@@ -266,22 +301,15 @@ func TestTerminalFailsFast(t *testing.T) {
 	}
 }
 
-// A straggling backend is hedged: the duplicate on the second backend
-// wins and the sweep finishes long before the straggler would have.
+// A straggling home backend is hedged: the duplicate on the second-ranked
+// backend wins and the sweep finishes long before the straggler would
+// have.
 func TestHedgingFirstResultWins(t *testing.T) {
-	slow := newStub(t, func(w http.ResponseWriter, r *http.Request) {
-		spec := decodeSpec(t, r)
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(10 * time.Second):
-		}
-		respondJSON(w, http.StatusOK, stubResult(spec))
-	})
-	fast := newStub(t, nil)
+	stubs := rankedStubs(t, "li/2+0/hint/event/base", delayedJobs(t, 10*time.Second), nil)
+	slow, fast := stubs[0], stubs[1]
 	spec := &Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}}
 	opts := fastOpts(slow.URL, fast.URL)
-	opts.Parallel = 1 // one point in flight: the primary choice is deterministic
+	opts.Parallel = 1
 	opts.Hedge = 50 * time.Millisecond
 
 	start := time.Now()
@@ -305,15 +333,61 @@ func TestHedgingFirstResultWins(t *testing.T) {
 	}
 }
 
+// delayedJobs answers each job with its stubResult after d, or gives up
+// when the client cancels.
+func delayedJobs(t *testing.T, d time.Duration) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		spec := decodeSpec(t, r)
+		select {
+		case <-r.Context().Done():
+			return
+		case <-time.After(d):
+		}
+		respondJSON(w, http.StatusOK, stubResult(spec))
+	}
+}
+
+// A hedge that loses to its primary is censused as lost, never as won:
+// only the hedge copy is counted, and the primary earns no hedge win.
+func TestHedgeLostWhenPrimaryAnswersFirst(t *testing.T) {
+	stubs := rankedStubs(t, "li/2+0/hint/event/base",
+		delayedJobs(t, 150*time.Millisecond), delayedJobs(t, 10*time.Second))
+	spec := &Spec{Schema: SpecSchema, Workloads: []string{"li"}, Ports: []string{"2+0"}}
+	opts := fastOpts(stubs[0].URL, stubs[1].URL)
+	opts.Parallel = 1
+	opts.Hedge = 50 * time.Millisecond
+
+	fig, census, err := runSweep(t, spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig.Points) != 1 {
+		t.Fatalf("point did not complete: %v", census.Failed)
+	}
+	if census.Outcomes["hedge-launched"] != 1 || census.Outcomes["hedge-lost"] != 1 || census.Outcomes["hedge-won"] != 0 {
+		t.Fatalf("outcomes: %v", census.Outcomes)
+	}
+	for _, b := range census.Backends {
+		if b.HedgeWins != 0 {
+			t.Fatalf("hedge win credited to %+v", b)
+		}
+	}
+}
+
 // Consecutive transport failures open the backend's breaker and traffic
 // diverts to the healthy one; the broken backend stops being hammered.
 func TestBreakerDivertsTraffic(t *testing.T) {
 	// Healthy /readyz but every /jobs connection is severed: the probe
-	// cannot save us, only the breaker can.
-	broken := newStub(t, func(w http.ResponseWriter, r *http.Request) {
+	// cannot save us, only the breaker can. The broken backend is home to
+	// the first point, so that point's attempts trip the breaker.
+	points, err := testSpec().Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stubs := rankedStubs(t, points[0].Key, func(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
-	})
-	ok := newStub(t, nil)
+	}, nil)
+	broken, ok := stubs[0], stubs[1]
 	opts := fastOpts(broken.URL, ok.URL)
 	opts.Parallel = 1
 	opts.BreakerThreshold = 2
@@ -477,7 +551,7 @@ func TestCensusRenderDeterministic(t *testing.T) {
 		Points: 3, Completed: 2,
 		Failed:   map[string]string{"b": "terminal: x", "a": "retries exhausted"},
 		Outcomes: map[string]int{"ok": 2, "retried:transport": 1, "canceled": 1},
-		Backends: []BackendCensus{{Name: "b0", URL: "u"}},
+		Backends: []BackendCensus{{Name: "b0", URL: "u", OK: 5, Cached: 3}},
 	}
 	var r1, r2 strings.Builder
 	c.Render(&r1)
@@ -489,5 +563,15 @@ func TestCensusRenderDeterministic(t *testing.T) {
 	aIdx, bIdx := strings.Index(out, "FAILED a"), strings.Index(out, "FAILED b")
 	if aIdx < 0 || bIdx < 0 || aIdx > bIdx {
 		t.Fatalf("failures not sorted:\n%s", out)
+	}
+	if !strings.Contains(out, "ok=5 cached=3 ") {
+		t.Fatalf("backend cache hits not rendered:\n%s", out)
+	}
+	var js bytes.Buffer
+	if err := c.EncodeJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(js.String(), `"cached": 3`) {
+		t.Fatalf("backend cache hits not in the JSON census:\n%s", js.String())
 	}
 }

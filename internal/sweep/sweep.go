@@ -6,15 +6,21 @@
 //
 // The coordinator is fault-tolerant by construction:
 //
-//   - Multi-backend sharding with load-aware dispatch: each job goes to
-//     a ready backend (health-probed via /readyz) with the fewest jobs
-//     in flight.
+//   - Multi-backend sharding by point key: rendezvous hashing of the
+//     key over the backend URLs gives every point a home backend, so a
+//     repeated point reaches the backend whose result cache already
+//     holds it, in any sweep and any process. A home that is not ready
+//     (health-probed via /readyz), cooling or breaker-open is passed
+//     over for the point's next-ranked backend. Workers take the oldest
+//     point whose home holds fewer than its share of the points in
+//     flight, so new points do not queue behind each other on one
+//     backend while another idles.
 //   - Bounded retries with exponential backoff that honors the server's
 //     Retry-After hint on 429/503 sheds, so client backpressure follows
 //     the service's own admission control.
-//   - Hedged requests: a straggling job is re-issued on a second backend
-//     after a hedge delay; the first result wins and the loser is
-//     cancelled. Hedged duplicates are safe because a job's identity is
+//   - Hedged requests: a straggling job is re-issued on its next-ranked
+//     backend after a hedge delay; the first result wins and the loser
+//     is cancelled. Hedged duplicates are safe because a job's identity is
 //     its full config key and identical in-flight jobs coalesce
 //     server-side.
 //   - Per-backend circuit breakers (closed/open/half-open): consecutive
