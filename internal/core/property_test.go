@@ -208,16 +208,22 @@ func TestMisrouteAndDualLeaveNoResidue(t *testing.T) {
 	if testing.Short() {
 		trials = 6
 	}
-	var misroutes, duals, dualWrong uint64
+	var misroutes, duals, dualWrong, tinyFull, tinyMisroutes uint64
 	for trial := 0; trial < trials; trial++ {
 		src := genRandomProgram(rng)
+		corrupted := corruptHints(src, rng)
 		for _, tc := range []struct {
 			name     string
 			src      string
 			steering config.SteeringPolicy
+			queue    int // LSQ and LVAQ size; 0 keeps the default
 		}{
-			{"misroute", corruptHints(src, rng), config.SteerHint},
-			{"dual", injectAliasedStackAccesses(stripHints(src)), config.SteerDual},
+			{"misroute", corrupted, config.SteerHint, 0},
+			{"dual", injectAliasedStackAccesses(stripHints(src)), config.SteerDual, 0},
+			// Two-entry queues make dispatch stall on a full queue while
+			// misroute squashes refill the replay buffer: a held effect
+			// must still dispatch before everything replayed behind it.
+			{"tinyq", corrupted, config.SteerHint, 2},
 		} {
 			prog, err := asm.Assemble(fmt.Sprintf("%s%d.s", tc.name, trial), tc.src)
 			if err != nil {
@@ -229,6 +235,9 @@ func TestMisrouteAndDualLeaveNoResidue(t *testing.T) {
 			}
 			cfg := config.Default().WithPorts(2, 2)
 			cfg.Steering = tc.steering
+			if tc.queue > 0 {
+				cfg.LSQSize, cfg.LVAQSize = tc.queue, tc.queue
+			}
 			c, err := New(prog, cfg)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, tc.name, err)
@@ -248,6 +257,11 @@ func TestMisrouteAndDualLeaveNoResidue(t *testing.T) {
 				}
 			}
 			assertStreamsDrained(t, c, fmt.Sprintf("trial %d %s", trial, tc.name))
+			if tc.queue > 0 {
+				tinyFull += res.QueueFullStalls
+				tinyMisroutes += res.Misroutes
+				continue
+			}
 			misroutes += res.Misroutes
 			duals += res.DualInserted
 			dualWrong += res.DualMisguessed
@@ -262,5 +276,9 @@ func TestMisrouteAndDualLeaveNoResidue(t *testing.T) {
 	}
 	if dualWrong == 0 {
 		t.Error("dual steering never misguessed; wrong-copy kill untested")
+	}
+	if tinyFull == 0 || tinyMisroutes == 0 {
+		t.Errorf("tiny queues: %d queue-full stalls, %d misroutes; want both > 0",
+			tinyFull, tinyMisroutes)
 	}
 }
