@@ -47,17 +47,6 @@ type uop struct {
 	slot int32
 	dec  *decoded
 
-	// dep are the producers of the source operands (nil when the operand
-	// was ready at dispatch). For memory instructions dep[0] is the base
-	// address register producer; for stores dep[1] produces the stored
-	// value.
-	dep [2]*uop
-
-	// refs counts consumers still holding this uop in their dep slots;
-	// dead marks a committed (or squashed) uop whose recycling into the
-	// free pool is deferred until the last consumer releases it.
-	refs int32
-	dead bool
 	// depsPending counts the in-flight producers gating issue (see the
 	// wakeup block below).
 	depsPending int8
@@ -72,10 +61,14 @@ type uop struct {
 	qnode         memsys.Node
 	addrKnown     bool
 	addrAt        uint64 // cycle the effective address becomes available
-	valueKnown    bool   // stores: data operand ready
-	valueAt       uint64
-	accessDone    bool // load has obtained its data (cache or forward)
-	fwdFrom       *uop
+	// Stores: valueAt is the cycle the data operand arrives, recorded at
+	// dispatch or, while valueWait is set, by the producer's completion
+	// push; valueKnown marks the memory stage having observed it.
+	valueKnown bool
+	valueWait  bool
+	valueAt    uint64
+	accessDone bool // load has obtained its data (cache or forward)
+	fwdFrom    *uop
 
 	// Fast-forwarding key (§2.2.2): base register identity, the
 	// stack-generation tag current at dispatch, and the offset field.
@@ -149,21 +142,38 @@ type uop struct {
 	// waiting consumers and pushes its readyAt once, at completion. The
 	// push that brings depsPending to zero arms the entry for issue
 	// (armIssue).
-	// Stale records — a squashed consumer's slot, a recycled entry — are
-	// filtered at push time by the (allocGen, dep-slot) validity check,
-	// so squash paths never have to edit waiter lists.
+	// Stale records — a squashed or committed consumer — are filtered at
+	// push time by the allocGen check (recycleUop bumps it), so squash
+	// paths never have to edit waiter lists.
 	waiters  []waitRef
 	allocGen uint32
 }
 
-// waitRef names one registered wait: consumer w's dep slot, valid only
-// while w is still the same allocation and the slot still holds the
-// producer.
+// waitRef names one registered wait of consumer w, valid only while w is
+// still the same allocation.
 type waitRef struct {
 	w    *uop
 	gen  uint32
-	slot uint8
+	kind uint8
 }
+
+// Wait kinds. wrIssue gates w's issue on the producer's completion.
+//
+// wrStoreValue is registered by a store against its data producer:
+// delivery records the store's value arrival (valueAt) and rewrites its
+// memory-stage sleep bound (memWake) instead of the issue gate, because a
+// store's data operand never gates its issue — only its completion.
+//
+// wrFwdValue is registered by a load against the store it would forward
+// from (ffWaiting / osFwdWait): the store's value-known transition clears
+// the load's sleep bound. The store is older than the load and therefore
+// earlier in the same stream's pending walk, so the wake always lands in
+// the same cycle a per-cycle poll would have fired.
+const (
+	wrIssue uint8 = iota
+	wrStoreValue
+	wrFwdValue
+)
 
 // wheelSize is the issue wheel's bucket count, a power of two. It covers
 // every functional-unit latency and cache hit; an entry waiting longer (a
@@ -194,19 +204,6 @@ const (
 	memSleepAgen = ^uint64(0)
 	memSleepPush = ^uint64(0) - 1
 )
-
-// wrSlotStoreValue marks a waitRef registered by a store against its
-// data producer: delivery rewrites the store's memory-stage sleep bound
-// (memWake) instead of the issue gate, because a store's data operand
-// never gates its issue — only its completion.
-const wrSlotStoreValue = 2
-
-// wrSlotFwdValue marks a waitRef registered by a load against the store
-// it would forward from (ffWaiting / osFwdWait): the store's value-known
-// transition clears the load's sleep bound. The store is older than the
-// load and therefore earlier in the same stream's pending walk, so the
-// wake always lands in the same cycle a per-cycle poll would have fired.
-const wrSlotFwdValue = 3
 
 // Order-scan memo states.
 const (
@@ -338,8 +335,9 @@ type Core struct {
 	// through the final cycle).
 	robOccSynced uint64
 
-	// freeUops recycles retired RUU entries; together with the rings it
-	// keeps the steady-state dispatch/replay path allocation-free.
+	// freeUops recycles RUU entries that left the pipeline; together with
+	// the rings it keeps the steady-state dispatch/replay path
+	// allocation-free.
 	freeUops []*uop
 
 	// text is the program's predecode table, indexed by text slot.
@@ -440,13 +438,11 @@ type Core struct {
 	// fetched is the latest fetched effect: the emulator steps into it in
 	// place and dispatch reads it by pointer.
 	fetched emu.Effect
-	// pending is the effect held back by a full queue (hasPending gates
-	// it; a value rather than a pointer so re-parking never allocates).
-	pending    emu.Effect
-	hasPending bool
-	// replay holds the effects of squashed (wrong-stream recovery)
-	// instructions awaiting re-dispatch, as a ring deque (squash prepends
-	// a batch, dispatch pops the front); the emulator is never re-run.
+	// replay holds the effects awaiting re-dispatch, oldest at the front,
+	// as a ring deque: squashed (wrong-stream recovery) instructions,
+	// which squash prepends as a batch, and the effect a full queue held
+	// back, which dispatch pushes back onto the front. The emulator is
+	// never re-run.
 	replay     []emu.Effect
 	replayHead int
 	replayN    int
@@ -540,9 +536,9 @@ func (c *Core) growReplay() {
 
 // --------------------------------------------------------- uop pool
 
-// allocUop returns a zeroed RUU entry, recycling retired ones. The
-// allocation generation survives (incremented) so waitRefs against the
-// previous life are recognizably stale, and the waiter slab is kept to
+// allocUop returns a zeroed RUU entry, recycling ones that left the
+// pipeline. The allocation generation survives so waitRefs against the
+// previous life stay recognizably stale, and the waiter slab is kept to
 // stay allocation-free in steady state.
 func (c *Core) allocUop() *uop {
 	if n := len(c.freeUops); n > 0 {
@@ -550,48 +546,53 @@ func (c *Core) allocUop() *uop {
 		c.freeUops = c.freeUops[:n-1]
 		gen, w := u.allocGen, u.waiters
 		*u = uop{}
-		u.allocGen, u.waiters = gen+1, w[:0]
+		u.allocGen, u.waiters = gen, w[:0]
 		return u
 	}
 	return new(uop)
 }
 
-// watch registers u's interest in dep slot's producer for issue gating.
-// A producer that has already completed contributes only its (immutable)
-// readyAt bound; an in-flight one gets a waiter record and will push the
-// bound at its completion transition.
-func (c *Core) watch(u *uop, slot int) {
-	d := u.dep[slot]
-	if d == nil {
+// watch registers u's interest in producer p (nil when the operand was
+// ready at dispatch) for issue gating. A producer that has already
+// completed contributes only its (immutable) readyAt bound; an in-flight
+// one gets a waiter record and will push the bound at its completion
+// transition.
+func (c *Core) watch(u, p *uop) {
+	if p == nil {
 		return
 	}
-	if d.completed {
-		if d.readyAt > u.issueWake {
-			u.issueWake = d.readyAt
+	if p.completed {
+		if p.readyAt > u.issueWake {
+			u.issueWake = p.readyAt
 		}
 		return
 	}
-	d.waiters = append(d.waiters, waitRef{u, u.allocGen, uint8(slot)})
+	p.waiters = append(p.waiters, waitRef{u, u.allocGen, wrIssue})
 	u.depsPending++
 }
 
-// watchStoreValue registers store u's interest in its data producer for
-// the memory-stage sleep bound: an in-flight producer will push its
-// readyAt at completion (wrSlotStoreValue), letting updateStore sleep
-// instead of polling. A producer already complete needs no record — the
-// poll reads its immutable readyAt as a bound directly.
-func (c *Core) watchStoreValue(u *uop) {
-	if d := u.dep[1]; d != nil && !d.completed {
-		d.waiters = append(d.waiters, waitRef{u, u.allocGen, wrSlotStoreValue})
+// watchStoreValue records when store u's data operand, produced by p,
+// arrives: at dispatch when p is nil or complete, else at p's completion
+// push (wrStoreValue), while valueWait lets updateStore sleep instead of
+// polling.
+func (c *Core) watchStoreValue(u, p *uop) {
+	switch {
+	case p == nil:
+		u.valueAt = c.now
+	case p.completed:
+		u.valueAt = p.readyAt
+	default:
+		u.valueWait = true
+		p.waiters = append(p.waiters, waitRef{u, u.allocGen, wrStoreValue})
 	}
 }
 
 // watchFwdValue registers load u's interest in store st's value-known
-// transition (wrSlotFwdValue). Registrations are never canceled — stale
-// ones are filtered by allocGen at delivery, and a spurious wake only
-// costs one poll.
+// transition (wrFwdValue). Registrations are never canceled — stale ones
+// are filtered by allocGen at delivery, and a spurious wake only costs
+// one poll.
 func (c *Core) watchFwdValue(u, st *uop) {
-	st.waiters = append(st.waiters, waitRef{u, u.allocGen, wrSlotFwdValue})
+	st.waiters = append(st.waiters, waitRef{u, u.allocGen, wrFwdValue})
 }
 
 // pushReady is called exactly once, at p's completion transition, to
@@ -601,16 +602,13 @@ func (c *Core) watchFwdValue(u, st *uop) {
 func (c *Core) pushReady(p *uop) {
 	for _, wr := range p.waiters {
 		w := wr.w
-		if wr.slot == wrSlotStoreValue {
-			// Store data-value bound: the store wakes exactly when the
-			// operand it polls for becomes observable.
-			if w.allocGen == wr.gen && w.dep[1] == p {
-				w.memWake = p.readyAt
-			}
-			continue
+		if w.allocGen != wr.gen {
+			continue // consumer squashed or committed
 		}
-		if w.allocGen != wr.gen || w.dep[wr.slot] != p {
-			continue // consumer squashed, recycled, or slot released
+		if wr.kind == wrStoreValue {
+			// The store wakes exactly when its data operand arrives.
+			w.valueAt, w.valueWait, w.memWake = p.readyAt, false, p.readyAt
+			continue
 		}
 		w.depsPending--
 		if p.readyAt > w.issueWake {
@@ -643,15 +641,13 @@ func (c *Core) wakeFwdWaiters(u *uop) {
 }
 
 // recycleUop returns a uop that has left the pipeline (committed or
-// squashed) to the pool — immediately if no consumer still holds it in a
-// dep slot, otherwise when the last consumer releases it.
+// squashed) to the pool. No consumer keeps a pointer to its producers
+// past dispatch, so the entry is free at once; bumping allocGen marks
+// every wait it registered as stale.
 func (c *Core) recycleUop(u *uop) {
 	c.dropIssue(u)
-	if u.refs == 0 {
-		c.freeUops = append(c.freeUops, u)
-	} else {
-		u.dead = true
-	}
+	u.allocGen++
+	c.freeUops = append(c.freeUops, u)
 }
 
 // issueAt is the first cycle u may issue: its operands have arrived and it
@@ -789,16 +785,6 @@ func (c *Core) wakeStream(id int) {
 	}
 }
 
-// releaseDep is called by a consumer when it drops a producer from its dep
-// slots (the operand was observed ready, or the consumer was squashed).
-func (c *Core) releaseDep(d *uop) {
-	d.refs--
-	if d.refs == 0 && d.dead {
-		d.dead = false
-		c.freeUops = append(c.freeUops, d)
-	}
-}
-
 // New builds a core for the given program and configuration.
 func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
@@ -818,7 +804,7 @@ func New(prog *asm.Program, cfg config.Config) (*Core, error) {
 		text:            predecode(prog.Text),
 		textBase:        prog.TextBase,
 		replay:          make([]emu.Effect, 16),
-		freeUops:        make([]*uop, 0, 3*cfg.ROBSize),
+		freeUops:        make([]*uop, 0, cfg.ROBSize),
 		// Wake population is bounded by a few registrations per in-flight
 		// instruction plus per-stream MSHR wakes; oversize the slab so the
 		// hot loop never grows it.

@@ -15,15 +15,15 @@ import (
 // then the memory pipelines, then issue, then fetch/dispatch.
 //
 // Every state *transition* (a commit, an issue, a dispatch, a load
-// completing, an effect leaving the emulator or the replay buffer, a
-// squash) sets c.progressed; a cycle that ends with it clear changed
-// nothing but per-cycle stall counters, and the event-driven engine in
-// run.go may then jump the clock to the next registered wake (the
-// quiescence invariant, DESIGN.md §12). Whenever a stage creates a
-// timestamp more than one cycle in the future (a cache fill, a TLB fill, a
-// multi-cycle functional-unit latency, a recovery stall), it registers a
-// wake; events exactly one cycle ahead need none, because a skip only
-// begins after two consecutive quiescent cycles.
+// completing, an effect leaving the emulator, a squash) sets
+// c.progressed; a cycle that ends with it clear changed nothing but
+// per-cycle stall counters, and the event-driven engine in run.go may then
+// jump the clock to the next registered wake (the quiescence invariant,
+// DESIGN.md §12). Whenever a stage creates a timestamp more than one cycle
+// in the future (a cache fill, a TLB fill, a multi-cycle functional-unit
+// latency, a recovery stall), it registers a wake; events exactly one
+// cycle ahead need none, because a skip only begins after two consecutive
+// quiescent cycles.
 //
 //ddvet:hotpath
 func (c *Core) cycle() {
@@ -115,20 +115,10 @@ func (c *Core) commitStage() {
 		if u.isMem {
 			c.streams[u.stream].Retire(c.now, u)
 		}
-		// The committed value is architectural now; producer() would
-		// answer nil anyway, so drop the rename-table self reference to
-		// let the entry recycle.
+		// The committed value is architectural now: drop the rename-table
+		// self reference before the entry recycles.
 		if d := u.dec; d.hasDest && c.renameTable[d.dest] == u {
 			c.renameTable[d.dest] = nil
-		}
-		// Release any producers still held (a fast-forwarded load
-		// completes without ever issuing, so its base-register dep is
-		// still in place).
-		for j, d := range u.dep {
-			if d != nil {
-				u.dep[j] = nil
-				c.releaseDep(d)
-			}
 		}
 		c.emitTrace(u, c.now, false)
 		c.recycleUop(u)
@@ -193,28 +183,19 @@ func (c *Core) updateStore(u *uop) {
 		return
 	}
 	if !u.valueKnown {
-		d := u.dep[1]
-		if d == nil {
-			u.valueKnown, u.valueAt = true, u.dispatchedAt
-			c.progressed = true
-			c.wakeFwdWaiters(u)
-		} else if d.completed && d.readyAt <= c.now {
-			u.valueKnown, u.valueAt = true, d.readyAt
-			u.dep[1] = nil
-			c.releaseDep(d)
-			c.progressed = true
-			c.wakeFwdWaiters(u)
-		} else if d.completed {
-			// Arrival bound known from the producer's immutable readyAt:
-			// sleep until then.
-			u.memWake = d.readyAt
-			return
-		} else {
-			// In-flight producer: its completion push (wrSlotStoreValue,
-			// registered at dispatch) rewrites the bound.
+		if u.valueWait {
+			// In-flight producer: its completion push (wrStoreValue,
+			// registered at dispatch) records the arrival and the bound.
 			u.memWake = memSleepPush
 			return
 		}
+		if u.valueAt > c.now {
+			u.memWake = u.valueAt
+			return
+		}
+		u.valueKnown = true
+		c.progressed = true
+		c.wakeFwdWaiters(u)
 	}
 	if u.addrKnown && u.addrAt <= c.now {
 		u.completed = true
@@ -412,7 +393,7 @@ func (c *Core) tryFastForward(s *memsys.Stream, u *uop) bool {
 		return false
 	}
 	u.ffState, u.ffCand = ffNone, nil
-	if u.dual || (u.baseReg != isa.RegSP && u.baseReg != isa.RegFP) {
+	if u.dual || !frameBase(u.baseReg) {
 		u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
 		return false
 	}
@@ -440,7 +421,7 @@ func (c *Core) tryFastForward(s *memsys.Stream, u *uop) bool {
 			u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
 			return false
 		}
-		if st.baseReg != isa.RegSP && st.baseReg != isa.RegFP {
+		if !frameBase(st.baseReg) {
 			u.ffState, u.ffGen = ffBlocked, c.qGen[u.stream]
 			return false
 		}
@@ -526,11 +507,7 @@ scan:
 			c.issueVisits++
 			if u.isMem {
 				// Address generation: the base register operand (the only
-				// issue-gating dep of a memory access) has arrived.
-				if d := u.dep[0]; d != nil {
-					u.dep[0] = nil
-					c.releaseDep(d)
-				}
+				// issue-gating operand of a memory access) has arrived.
 				c.issue(u)
 				budget--
 				u.addrKnown = true
@@ -553,12 +530,6 @@ scan:
 					break scan
 				}
 				continue
-			}
-			for i, d := range u.dep {
-				if d != nil {
-					u.dep[i] = nil
-					c.releaseDep(d)
-				}
 			}
 			fu := &fus[u.dec.fu]
 			if *fu == 0 {
@@ -617,8 +588,9 @@ func (c *Core) dispatchStage() {
 			}
 			target = c.route(local)
 			if c.streamFull(target) || (dual && c.streamFull(c.route(!local))) {
-				// Hold the effect for the next cycle.
-				c.pending, c.hasPending = *ef, true
+				// Hold the effect for the next cycle at the replay front,
+				// ahead of everything younger.
+				c.replayPushFront(*ef)
 				c.stats.QueueFullStalls++
 				return
 			}
@@ -634,11 +606,12 @@ func (c *Core) dispatchStage() {
 
 		// Rename the source operands: for a memory access the base
 		// register, then a store's data register.
+		var p0, p1 *uop
 		if d.nsrc >= 1 {
-			u.dep[0] = c.producer(d.src[0])
+			p0 = c.producer(d.src[0])
 		}
 		if d.nsrc >= 2 {
-			u.dep[1] = c.producer(d.src[1])
+			p1 = c.producer(d.src[1])
 		}
 		if d.isMem {
 			u.isMem = true
@@ -663,21 +636,20 @@ func (c *Core) dispatchStage() {
 
 		// Register the issue-gating waits: the base register for a
 		// memory access, both operands otherwise. A store's data operand
-		// (dep[1]) does not gate issue — the memory stage polls it.
-		c.watch(u, 0)
+		// never gates issue, but its arrival bound lets the memory stage
+		// sleep instead of polling.
+		c.watch(u, p0)
 		if !u.isMem {
-			c.watch(u, 1)
+			c.watch(u, p1)
 		} else if !u.isLoad {
-			// A store's data operand never gates issue, but its arrival
-			// bound lets the memory stage sleep instead of polling.
-			c.watchStoreValue(u)
+			c.watchStoreValue(u, p1)
 		}
 
 		// Rename the destination and advance the stack generation when
 		// $sp or $fp is redefined.
 		if d.hasDest {
 			c.renameTable[d.dest] = u
-			if d.dest == isa.RegSP || d.dest == isa.RegFP {
+			if frameBase(d.dest) {
 				c.spGen++
 			}
 		}
@@ -712,8 +684,8 @@ func (c *Core) dispatchStage() {
 		}
 
 		// Fetch is finished only when the emulator has halted AND no
-		// squashed effects remain to replay.
-		if c.emu.Halted && c.replayN == 0 && !c.hasPending {
+		// effects remain to replay.
+		if c.emu.Halted && c.replayN == 0 {
 			c.fetchDone = true
 		}
 		if c.cfg.MaxInsts > 0 && c.seq >= c.cfg.MaxInsts {
@@ -735,8 +707,7 @@ func (c *Core) streamFull(id int) bool {
 
 // producer returns the in-flight producer of r, or nil when the
 // architectural value is already available. Reads of the hardwired zero
-// register are always ready. A non-nil producer is reference-counted: the
-// consumer must release it (releaseDep) when it drops the dep slot.
+// register are always ready.
 func (c *Core) producer(r isa.Reg) *uop {
 	if r == isa.RegZero {
 		return nil
@@ -745,31 +716,20 @@ func (c *Core) producer(r isa.Reg) *uop {
 	if p == nil || (p.completed && p.readyAt <= c.now) {
 		return nil
 	}
-	p.refs++
 	return p
 }
 
 // nextEffect returns the next architectural effect to dispatch, in place:
-// the one buffered by a queue-full stall, a squashed effect awaiting
-// replay, or the next fetched one. It returns nil at the end of fetch.
+// the front of the replay deque (a squashed effect, or one a full queue
+// held back), or the next fetched one. It returns nil at the end of fetch.
 //
-// pending must drain before replay. A queue-full stall can park the front
-// replay entry in pending; everything still in replay is then younger than
-// it. Popping replay first would dispatch out of program order — and, if
-// the popped effect stalled too, overwrite pending and silently drop the
-// older effect.
-//
-// Progress accounting: re-examining the parked pending effect moves no
-// state (a re-park leaves the machine exactly as it was), but popping the
-// replay buffer, taking a fetched effect, or discovering the end of fetch
-// all transition state and mark the cycle non-quiescent.
+// Progress accounting: popping the replay front moves no state by itself —
+// a held effect that stalls again goes straight back, leaving the deque
+// exactly as it was — so only the dispatch that follows marks progress.
+// Taking a fetched effect or discovering the end of fetch transitions
+// state and marks the cycle non-quiescent.
 func (c *Core) nextEffect() *emu.Effect {
-	if c.hasPending {
-		c.hasPending = false
-		return &c.pending
-	}
 	if c.replayN > 0 {
-		c.progressed = true
 		return c.replayPopFront()
 	}
 	if c.emu.Halted {
@@ -805,7 +765,7 @@ func (c *Core) steer(ef *emu.Effect) (local, dual, spec bool) {
 	case config.SteerOracle:
 		local = isa.InStackRegion(ef.Addr)
 	case config.SteerSP:
-		local = ef.Inst.BaseReg() == isa.RegSP || ef.Inst.BaseReg() == isa.RegFP
+		local = frameBase(ef.Inst.BaseReg())
 	case config.SteerDual:
 		switch ef.Inst.Hint {
 		case isa.HintLocal:
@@ -814,7 +774,7 @@ func (c *Core) steer(ef *emu.Effect) (local, dual, spec bool) {
 			local = false
 		default:
 			// Ambiguous: occupy both streams, primary by base register.
-			local = ef.Inst.BaseReg() == isa.RegSP || ef.Inst.BaseReg() == isa.RegFP
+			local = frameBase(ef.Inst.BaseReg())
 			dual = true
 		}
 	case config.SteerStatic:
@@ -826,12 +786,7 @@ func (c *Core) steer(ef *emu.Effect) (local, dual, spec bool) {
 		case isa.HintNonLocal:
 			local = false
 		default:
-			if pred, ok := c.regionPredictor[ef.PC]; ok {
-				local = pred
-			} else {
-				local = ef.Inst.BaseReg() == isa.RegSP || ef.Inst.BaseReg() == isa.RegFP
-			}
-			c.stats.PredictedSteers++
+			local = c.predict(ef)
 		}
 	case config.SteerSpec:
 		// The Assign pass's confidence table: proofs are trusted,
@@ -846,12 +801,7 @@ func (c *Core) steer(ef *emu.Effect) (local, dual, spec bool) {
 			local = true
 			spec = true
 		default:
-			if pred, ok := c.regionPredictor[ef.PC]; ok {
-				local = pred
-			} else {
-				local = ef.Inst.BaseReg() == isa.RegSP || ef.Inst.BaseReg() == isa.RegFP
-			}
-			c.stats.PredictedSteers++
+			local = c.predict(ef)
 		}
 	default: // SteerHint
 		switch ef.Inst.Hint {
@@ -860,16 +810,26 @@ func (c *Core) steer(ef *emu.Effect) (local, dual, spec bool) {
 		case isa.HintNonLocal:
 			local = false
 		default:
-			if pred, ok := c.regionPredictor[ef.PC]; ok {
-				local = pred
-			} else {
-				local = ef.Inst.BaseReg() == isa.RegSP || ef.Inst.BaseReg() == isa.RegFP
-			}
-			c.stats.PredictedSteers++
+			local = c.predict(ef)
 		}
 	}
 	return local, dual, spec
 }
+
+// predict steers an access its steering policy leaves unclassified: by the
+// region predictor's last outcome for its PC, or by its base register
+// before the PC has resolved once.
+func (c *Core) predict(ef *emu.Effect) bool {
+	c.stats.PredictedSteers++
+	if pred, ok := c.regionPredictor[ef.PC]; ok {
+		return pred
+	}
+	return frameBase(ef.Inst.BaseReg())
+}
+
+// frameBase reports whether r is one of the registers that address the
+// current stack frame ($sp or $fp).
+func frameBase(r isa.Reg) bool { return r == isa.RegSP || r == isa.RegFP }
 
 // checkSteering verifies the stream assignment once the effective address
 // is known. A wrongly-steered access is removed, re-inserted into the
@@ -953,8 +913,7 @@ func (c *Core) squashYounger(u *uop) {
 		}
 	}
 	if idx < 0 || idx == c.robN-1 {
-		// u is the youngest (or already gone): nothing to squash, but a
-		// queue-full pending effect is younger and stays pending.
+		// u is the youngest (or already gone): nothing to squash.
 		return
 	}
 	c.progressed = true
@@ -983,15 +942,8 @@ func (c *Core) squashYounger(u *uop) {
 	}
 
 	// Re-dispatch order must be program order: the squashed window is
-	// older than a queue-full pending effect, which in turn is older
-	// than any effects still waiting in the replay buffer (pending is
-	// either a fresh fetch buffered while replay was empty, or the
-	// former front of the replay buffer). Build that order by pushing
-	// onto the front of the deque in reverse.
-	if c.hasPending {
-		c.replayPushFront(c.pending)
-		c.hasPending = false
-	}
+	// older than everything still waiting in the replay deque, so push it
+	// onto the front in reverse.
 	for i := c.robN - 1; i > idx; i-- {
 		c.replayPushFront(c.robAt(i).ef)
 	}
@@ -1002,18 +954,6 @@ func (c *Core) squashYounger(u *uop) {
 		c.wakeStream(s.ID)
 	}
 
-	// Recycle the squashed entries: first release every dep they hold (a
-	// squashed producer may be referenced by younger squashed consumers),
-	// then return them to the pool.
-	for i := idx + 1; i < c.robN; i++ {
-		v := c.robAt(i)
-		for j, d := range v.dep {
-			if d != nil {
-				v.dep[j] = nil
-				c.releaseDep(d)
-			}
-		}
-	}
 	for i := idx + 1; i < c.robN; i++ {
 		c.recycleUop(c.robAt(i))
 	}

@@ -20,9 +20,9 @@ import (
 const DefaultWatchdogCycles = 1_000_000
 
 // ctxCheckInterval is how often the run loop polls the context for
-// cancellation; a power of two so the check compiles to a mask. The tick
-// engine counts cycles, the event engine counts loop iterations (a skipped
-// gap consumes no wall-clock time, so iterations are the right unit there).
+// cancellation, in loop iterations; a power of two so the check compiles
+// to a mask. Under the tick engine an iteration is a cycle; under the event
+// engine a skipped gap consumes no wall-clock time, so it counts once.
 const ctxCheckInterval = 1 << 10
 
 // cycleSlack is the legacy cycle safety budget: no workload should ever run
@@ -45,7 +45,8 @@ const (
 	// quiescence invariant, DESIGN.md §12; asserted by the differential
 	// tests), only faster on stall-dominated workloads.
 	EngineEvent Engine = iota
-	// EngineTick is the classic loop: one cycle() per clock, no skipping.
+	// EngineTick executes every cycle, never skipping: the reference the
+	// event engine is differentially tested against.
 	EngineTick
 )
 
@@ -181,57 +182,20 @@ func (c *Core) RunWith(ctx context.Context, opts RunOptions) (res *Result, err e
 		}
 	}()
 
-	if opts.Engine == EngineTick {
-		return c.runTick(ctx, opts, watchdog)
-	}
-	return c.runEvent(ctx, opts, watchdog)
+	return c.run(ctx, opts, watchdog)
 }
 
-// runTick is the classic run loop: one cycle per clock tick, preserved
-// verbatim as the reference the event engine is differentially tested
-// against.
-func (c *Core) runTick(ctx context.Context, opts RunOptions, watchdog uint64) (*Result, error) {
-	lastCommitted, lastProgress := c.stats.Committed, c.now
-	for !c.done() {
-		c.cycle()
-		if c.stats.Committed != lastCommitted {
-			lastCommitted, lastProgress = c.stats.Committed, c.now
-			c.lastCommitCycle = c.now
-		} else if !opts.DisableWatchdog && c.now-lastProgress >= watchdog {
-			return nil, c.abort(simerr.KindWatchdog,
-				fmt.Sprintf("no instruction committed for %d cycles", watchdog), nil)
-		}
-		if opts.MaxCycles > 0 && c.now >= opts.MaxCycles {
-			return nil, c.abort(simerr.KindMaxCycles,
-				fmt.Sprintf("cycle cap %d reached", opts.MaxCycles), nil)
-		}
-		if c.now%ctxCheckInterval == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				kind := simerr.KindCanceled
-				reason := "run canceled"
-				if errors.Is(cerr, context.DeadlineExceeded) {
-					kind, reason = simerr.KindDeadline, "deadline exceeded"
-				}
-				return nil, c.abort(kind, reason, cerr)
-			}
-		}
-		if c.now > 100*c.stats.Committed+cycleSlack {
-			return nil, c.abort(simerr.KindBudget,
-				"cycle budget exhausted", ErrBudget)
-		}
-	}
-	return c.result(), nil
-}
-
-// runEvent is the next-event run loop. It executes cycles exactly like
-// runTick until it has seen two consecutive quiescent cycles — cycles in
-// which no state transition happened (c.progressed stayed false), only
-// per-cycle stall counters moved. The second such cycle is the
-// *representative* cycle: by the quiescence invariant (DESIGN.md §12),
-// every following cycle up to (exclusive) the earliest registered wake is
-// its exact repetition. The engine therefore jumps the clock to one cycle
-// before the next wake and multiplies the representative cycle's counter
-// deltas across the gap; the wake cycle itself executes for real.
+// run is the run loop of both engines. It executes cycles one at a time;
+// under the event engine it also watches for two consecutive quiescent
+// cycles — cycles in which no state transition happened (c.progressed
+// stayed false), only per-cycle stall counters moved. The second such
+// cycle is the *representative* cycle: by the quiescence invariant
+// (DESIGN.md §12), every following cycle up to (exclusive) the earliest
+// registered wake is its exact repetition. The engine therefore jumps the
+// clock to one cycle before the next wake and multiplies the
+// representative cycle's counter deltas across the gap; the wake cycle
+// itself executes for real. The tick engine never skips, so it executes
+// every cycle and stays the oracle.
 //
 // Every abort boundary clamps the jump to land one cycle *before* it, so
 // the boundary cycle also executes for real and the abort fires with the
@@ -239,12 +203,13 @@ func (c *Core) runTick(ctx context.Context, opts RunOptions, watchdog uint64) (*
 // produce. With a fault injector armed the engine never skips (BeginCycle
 // must run every cycle for deterministic replay), making it tick-identical
 // by construction.
-func (c *Core) runEvent(ctx context.Context, opts RunOptions, watchdog uint64) (*Result, error) {
+func (c *Core) run(ctx context.Context, opts RunOptions, watchdog uint64) (*Result, error) {
+	skip := opts.Engine == EngineEvent && c.fi == nil
 	lastCommitted, lastProgress := c.stats.Committed, c.now
 	prevQuiet := false
 	var iters uint64
 	for !c.done() {
-		canSkip := prevQuiet && c.fi == nil
+		canSkip := prevQuiet && skip
 		if canSkip {
 			c.snapStallCounters()
 		}
