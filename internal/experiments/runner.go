@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime/debug"
 	"sort"
 	"sync"
 
@@ -102,34 +101,10 @@ func (r *Runner) ResultCtx(ctx context.Context, w workload.Workload, cfg config.
 	return res, nil
 }
 
-// ResultProgramOptsCtx is ResultProgramCtx with per-run RunOptions
-// replacing the runner's RunOpts for this run only. The result cache is
-// shared with the other Result variants: a completed run is deterministic
-// regardless of its budget, so budget-only option differences cannot
-// poison the cache. A run whose options carry a fault injector is the
-// exception — injected faults perturb timing on purpose — so
-// injector-armed runs bypass the cache entirely (neither hitting nor
-// filling it) while keeping the same panic containment.
-func (r *Runner) ResultProgramOptsCtx(ctx context.Context, name string, prog *asm.Program, cfg config.Config, opts core.RunOptions) (*core.Result, error) {
-	run := func() (*core.Result, error) {
-		return r.runProgramOpts(ctx, prog, cfg, opts)
-	}
-	var res *core.Result
-	var err error
-	if opts.Injector != nil {
-		res, err = r.containedRun(run)
-	} else {
-		res, err = r.cachedRun(cfgKey("prog:"+name, cfg), name, cfg, run)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("experiments: program %s under %s: %w", name, cfg.Name(), err)
-	}
-	return res, nil
-}
-
 // CachedResults returns how many distinct simulation results the runner
-// holds in memory. Long-running hosts (the ddserve service) use it to
-// bound the in-memory cache by rotating to a fresh runner.
+// holds in memory, one per distinct successful run. perfbench reports it
+// as experiments.runner_results, the simulations one figure regeneration
+// runs.
 func (r *Runner) CachedResults() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -143,13 +118,8 @@ func (r *Runner) CachedResults() int {
 // workload results. The caller must use distinct names for distinct
 // program images.
 func (r *Runner) ResultProgram(name string, prog *asm.Program, cfg config.Config) (*core.Result, error) {
-	return r.ResultProgramCtx(context.Background(), name, prog, cfg)
-}
-
-// ResultProgramCtx is ResultProgram additionally bounded by ctx.
-func (r *Runner) ResultProgramCtx(ctx context.Context, name string, prog *asm.Program, cfg config.Config) (*core.Result, error) {
 	res, err := r.cachedRun(cfgKey("prog:"+name, cfg), name, cfg, func() (*core.Result, error) {
-		return r.runProgram(ctx, prog, cfg)
+		return r.runProgram(context.Background(), prog, cfg)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: program %s under %s: %w", name, cfg.Name(), err)
@@ -190,11 +160,16 @@ func (r *Runner) cachedRun(key, label string, cfg config.Config, run func() (*co
 }
 
 // simulate runs one uncached simulation for key. The deferred block is the
-// in-flight release point: it runs on success, on error AND on panic
-// (containedRun has already converted the panic to an error by the time it
-// fires), so a crashing run can never strand concurrent waiters on the key.
+// panic containment and the in-flight release point: a panic anywhere on
+// the path (program generation, core construction — the cycle loop itself
+// is already contained by core.RunWith) becomes the same typed error the
+// core produces, and the block runs on success, on error AND on panic, so
+// a crashing run can never strand concurrent waiters on the key.
 func (r *Runner) simulate(key string, run func() (*core.Result, error)) (res *core.Result, err error) {
 	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, simerr.Recovered(p)
+		}
 		r.mu.Lock()
 		if err == nil {
 			r.results[key] = res
@@ -203,42 +178,17 @@ func (r *Runner) simulate(key string, run func() (*core.Result, error)) (res *co
 		delete(r.inflight, key)
 		r.mu.Unlock()
 	}()
-
-	return r.containedRun(run)
-}
-
-// containedRun executes one simulation with the runner's panic containment
-// but without touching the cache or in-flight bookkeeping: a panic anywhere
-// on the path (program generation, core construction — the cycle loop
-// itself is already contained by core.RunWith) is converted into the same
-// typed error the core produces.
-func (r *Runner) containedRun(run func() (*core.Result, error)) (res *core.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, &simerr.SimError{
-				Kind:       simerr.KindPanic,
-				Reason:     fmt.Sprint(p),
-				PanicValue: p,
-				Stack:      string(debug.Stack()),
-			}
-		}
-	}()
 	return run()
 }
 
 // runProgram constructs and runs one core simulation under the runner-wide
 // options.
 func (r *Runner) runProgram(ctx context.Context, prog *asm.Program, cfg config.Config) (*core.Result, error) {
-	return r.runProgramOpts(ctx, prog, cfg, r.RunOpts)
-}
-
-// runProgramOpts constructs and runs one core simulation under opts.
-func (r *Runner) runProgramOpts(ctx context.Context, prog *asm.Program, cfg config.Config, opts core.RunOptions) (*core.Result, error) {
 	c, err := core.New(prog, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return c.RunWith(ctx, opts)
+	return c.RunWith(ctx, r.RunOpts)
 }
 
 // Profile returns the functional profile of workload w (cached).

@@ -97,9 +97,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	// The job's cache identity, exposed so clients that submit the same
 	// job twice (sweep hedging, retries on another connection) can see
-	// the duplicates are the same unit of work. Identical in-flight jobs
-	// coalesce onto one simulation server-side (the runner's in-flight
-	// table), so hedged duplicates are idempotent by construction.
+	// the duplicates are the same unit of work. Each copy that misses the
+	// persistent cache simulates; simulation is deterministic, so every
+	// copy answers with the same result.
 	w.Header().Set("X-Job-Key", rj.key)
 
 	// Persistent cache: a hit answers without touching the queue, so

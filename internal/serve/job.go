@@ -115,11 +115,9 @@ type resolvedJob struct {
 	engine core.Engine
 
 	// Exactly one of w (workload jobs) and prog (program jobs) is live.
-	w        workload.Workload
-	isProg   bool
-	prog     *asm.Program
-	name     string // display/result name
-	progName string // runner keyspace name for program jobs
+	w    workload.Workload
+	prog *asm.Program
+	name string // display/result name
 
 	// identity is the full, collision-proof cache identity; key and shard
 	// are its hashed forms (file name, config-keyed shard directory).
@@ -205,12 +203,10 @@ func (s *Server) resolveSpec(spec JobSpec) (*resolvedJob, error) {
 		if spec.Strip {
 			prog = prog.StripHints()
 		}
-		rj.isProg = true
 		rj.prog = prog
 		rj.name = "program"
 		sum := sha256.Sum256([]byte(spec.Program))
 		srcID = fmt.Sprintf("p:%s/strip=%v", hex.EncodeToString(sum[:]), spec.Strip)
-		rj.progName = "serve:" + srcID
 	}
 
 	// The engine is part of the identity: both engines are bit-identical
@@ -254,21 +250,15 @@ func (rj *resolvedJob) buildResult(res *core.Result, attempts int, wall time.Dur
 	}
 }
 
-// program returns the image to simulate for a workload job, generating it
-// on demand (program jobs carry theirs from assembly time).
+// program returns the image to simulate: program jobs carry theirs from
+// assembly time, and workload jobs generate theirs on each attempt.
 func (rj *resolvedJob) program() *asm.Program {
+	if rj.prog != nil {
+		return rj.prog
+	}
 	prog := rj.w.Program(rj.spec.Scale)
 	if rj.spec.Strip {
 		prog = prog.StripHints()
 	}
 	return prog
-}
-
-// runnerName is the name a workload job runs under in the runner's
-// program keyspace: distinct (scale, strip) variants must never alias.
-func (rj *resolvedJob) runnerName() string {
-	if rj.isProg {
-		return rj.progName
-	}
-	return fmt.Sprintf("serve:w:%s@%g/strip=%v", rj.w.Name, rj.spec.Scale, rj.spec.Strip)
 }

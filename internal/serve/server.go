@@ -7,18 +7,18 @@
 //
 //   - Bounded everything: a fixed worker pool, an admission-controlled
 //     queue with a global depth bound and per-client occupancy bound
-//     (shed with 429 + Retry-After, never unbounded memory), a bounded
-//     request body, and a rotation bound on the in-memory result cache.
+//     (shed with 429 + Retry-After, never unbounded memory) and a
+//     bounded request body. The service keeps no results in memory: the
+//     persistent cache (-cache) is its only result-reuse layer.
 //   - Fairness: queued work is dequeued round-robin across clients, so
 //     one flooding client cannot starve the rest.
 //   - Typed terminal states: every admitted job ends in a result, a
 //     structured error JSON carrying the typed simerr kind (with the
 //     pipeline snapshot), or a shed/drain rejection. Nothing hangs.
-//   - Bounded retries: transient failures (watchdog, deadline — and
-//     canceled/deadline aborts inherited from a shared in-flight run the
-//     job did not own) retry with exponential backoff and jitter;
-//     deterministic failures (panic, unsound config, cycle budgets) do
-//     not.
+//   - Bounded retries: transient failures (the per-attempt deadline, and
+//     a watchdog trip when attempts can differ) retry with exponential
+//     backoff and jitter; deterministic failures (panic, unsound config,
+//     cycle budgets) do not.
 //   - Cancellation: the client's request context propagates into the
 //     running core, so a dropped client frees its worker within one
 //     context-poll interval.
@@ -39,9 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/simerr"
 )
 
@@ -81,14 +79,8 @@ type Options struct {
 	// Deadline is ignored — wall-clock bounding is JobTimeout's job).
 	RunOpts core.RunOptions
 	// JobRunOpts, when non-nil, replaces RunOpts per attempt. The
-	// service soak uses it to arm seeded per-run fault injectors; runs
-	// whose options carry an injector bypass the result caches.
+	// service soak uses it to arm seeded per-run fault injectors.
 	JobRunOpts func(key string, attempt int) core.RunOptions
-
-	// RunnerResultCap rotates the in-memory runner once it holds this
-	// many distinct results (default 4096), bounding resident memory on
-	// long-lived hosts; the persistent cache keeps rotation cheap.
-	RunnerResultCap int
 }
 
 func (o *Options) fillDefaults() {
@@ -125,9 +117,6 @@ func (o *Options) fillDefaults() {
 	if o.MaxScale == 0 {
 		o.MaxScale = 1.0
 	}
-	if o.RunnerResultCap == 0 {
-		o.RunnerResultCap = 4096
-	}
 }
 
 // Server is the simulation service. Create with New, expose via
@@ -136,12 +125,6 @@ type Server struct {
 	opts  Options
 	q     *queue
 	cache *diskCache
-
-	// runner state, rotated under mu to bound in-memory growth.
-	mu        sync.Mutex
-	runner    *experiments.Runner
-	programs  map[string]*asm.Program
-	rotations uint64
 
 	draining atomic.Bool
 	// forceCtx is cancelled when the drain deadline passes: it aborts
@@ -174,66 +157,18 @@ func New(opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: opening cache: %w", err)
 	}
 	s := &Server{
-		opts:     opts,
-		q:        newQueue(opts.QueueDepth, opts.MaxPerClient),
-		cache:    cache,
-		programs: make(map[string]*asm.Program),
-		start:    time.Now(),
-		byKind:   make(map[string]uint64),
+		opts:   opts,
+		q:      newQueue(opts.QueueDepth, opts.MaxPerClient),
+		cache:  cache,
+		start:  time.Now(),
+		byKind: make(map[string]uint64),
 	}
-	s.runner = s.newRunner()
 	s.forceCtx, s.forceCancel = context.WithCancel(context.Background())
 	s.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
 		go s.worker()
 	}
 	return s, nil
-}
-
-// newRunner builds a runner configured for service use. Scale is fixed at
-// 1 and ignored: the service always runs jobs through the program
-// keyspace with explicitly-scaled images, because one shared runner
-// cannot hold per-job scale.
-func (s *Server) newRunner() *experiments.Runner {
-	r := experiments.NewRunner(1)
-	r.RunOpts = s.opts.RunOpts
-	return r
-}
-
-// currentRunner returns the live runner, rotating to a fresh one when the
-// in-memory result cache has outgrown its cap. Jobs already running on
-// the old runner finish on it; the persistent cache carries the results
-// forward.
-func (s *Server) currentRunner() *experiments.Runner {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.runner.CachedResults() >= s.opts.RunnerResultCap {
-		s.runner = s.newRunner()
-		s.programs = make(map[string]*asm.Program)
-		s.rotations++
-	}
-	return s.runner
-}
-
-// programFor memoizes workload program generation by (name, scale, strip)
-// so repeated jobs do not regenerate images; the memo rotates with the
-// runner.
-func (s *Server) programFor(rj *resolvedJob) *asm.Program {
-	if rj.isProg {
-		return rj.prog
-	}
-	name := rj.runnerName()
-	s.mu.Lock()
-	prog, ok := s.programs[name]
-	s.mu.Unlock()
-	if ok {
-		return prog
-	}
-	prog = rj.program() // generated outside the lock: can be slow
-	s.mu.Lock()
-	s.programs[name] = prog
-	s.mu.Unlock()
-	return prog
 }
 
 // worker is one pool member: it drains the queue until the queue closes
@@ -289,8 +224,12 @@ func (s *Server) execute(j *job) {
 	}
 }
 
-// runAttempt performs one bounded simulation attempt for j.
-func (s *Server) runAttempt(j *job, attempt int) (*core.Result, error) {
+// runAttempt performs one bounded simulation attempt for j: it builds the
+// job's program and core and runs them. A panic anywhere on that path
+// (program generation, core construction, the run hook — the cycle loop
+// itself is already contained by core.RunWith) ends the attempt with the
+// typed panic error instead of killing the worker.
+func (s *Server) runAttempt(j *job, attempt int) (res *core.Result, err error) {
 	opts := s.opts.RunOpts
 	if s.opts.JobRunOpts != nil {
 		opts = s.opts.JobRunOpts(j.rj.key, attempt)
@@ -308,11 +247,19 @@ func (s *Server) runAttempt(j *job, attempt int) (*core.Result, error) {
 	stop := context.AfterFunc(s.forceCtx, cancel)
 	defer stop()
 
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, simerr.Recovered(p)
+		}
+	}()
 	if s.runHook != nil {
 		return s.runHook(ctx, j.rj, opts)
 	}
-	r := s.currentRunner()
-	return r.ResultProgramOptsCtx(ctx, j.rj.runnerName(), s.programFor(j.rj), j.rj.cfg, opts)
+	c, err := core.New(j.rj.program(), j.rj.cfg)
+	if err != nil {
+		return nil, err
+	}
+	return c.RunWith(ctx, opts)
 }
 
 // retryDecision classifies a failed attempt: transient failures retry
@@ -323,13 +270,13 @@ func (s *Server) runAttempt(j *job, attempt int) (*core.Result, error) {
 // armed fault injector or per-attempt run options (either can make a
 // livelock transient; without them the simulator is deterministic and a
 // retry would burn the whole watchdog window again to the same abort),
-// deadline, and canceled/deadline aborts a job inherited from a shared
-// in-flight run it did not own (the job's own context is still live, so
-// a fresh attempt can succeed).
+// and deadline (the per-attempt timeout expired while the job's own
+// context is still live, so a fresh attempt can succeed).
 // Terminal kinds: panic, max-cycles, cycle-budget, a watchdog of a
 // fault-free attempt with fixed options (deterministic — a retry replays
-// the same failure), the job's own cancel/timeout, and every non-simulation error (bad config, bad
-// program: the client's to fix).
+// the same failure), the job's own cancel/timeout, a forced drain, and
+// every non-simulation error (bad config, bad program: the client's to
+// fix).
 func (s *Server) retryDecision(j *job, err error, attempts int) (bool, time.Duration) {
 	if attempts > s.opts.MaxRetries {
 		return false, 0
@@ -346,10 +293,9 @@ func (s *Server) retryDecision(j *job, err error, attempts int) (bool, time.Dura
 		if !j.mayVary {
 			return false, 0
 		}
-	case simerr.KindDeadline, simerr.KindCanceled:
+	case simerr.KindDeadline:
 		// The job's own context is live (checked above), so this abort
-		// came from the per-attempt timeout or from sharing a run with a
-		// job that cancelled or timed out first — both worth a retry.
+		// came from the per-attempt timeout.
 	default:
 		return false, 0
 	}
@@ -432,9 +378,7 @@ type Statz struct {
 
 	FailuresByKind map[string]uint64 `json:"failures_by_kind"`
 
-	Cache           cacheStats `json:"cache"`
-	RunnerResults   int        `json:"runner_results"`
-	RunnerRotations uint64     `json:"runner_rotations"`
+	Cache cacheStats `json:"cache"`
 
 	Goroutines int `json:"goroutines"`
 }
@@ -446,10 +390,6 @@ func (s *Server) statz() Statz {
 		byKind[k] = v
 	}
 	s.kindMu.Unlock()
-	s.mu.Lock()
-	runnerResults := s.runner.CachedResults()
-	rotations := s.rotations
-	s.mu.Unlock()
 	return Statz{
 		Schema:          "ddserve-statz/v1",
 		UptimeSeconds:   time.Since(s.start).Seconds(),
@@ -469,8 +409,6 @@ func (s *Server) statz() Statz {
 		ReadyProbes:     s.readyProbes.Load(),
 		FailuresByKind:  byKind,
 		Cache:           s.cache.stats(),
-		RunnerResults:   runnerResults,
-		RunnerRotations: rotations,
 		Goroutines:      runtime.NumGoroutine(),
 	}
 }

@@ -641,23 +641,30 @@ func TestPoolShutdownLeaksNoGoroutines(t *testing.T) {
 	})
 }
 
-// TestRunnerRotationBoundsMemory: the in-memory runner rotates once its
-// result cache passes the cap, and jobs keep completing across rotation.
-func TestRunnerRotationBoundsMemory(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1, RunnerResultCap: 2})
-	for i := 0; i < 5; i++ {
-		body := fmt.Sprintf(`{"workload":"li","scale":0.02,"maxinsts":%d}`, 1000+i)
-		status, data, _ := postJob(t, ts, "c1", body)
-		if status != http.StatusOK {
-			t.Fatalf("job %d: status = %d, body:\n%s", i, status, data)
-		}
+// TestPanicIsContained: a panic on the attempt path ends the job as a
+// typed, non-retried 500 instead of killing the worker, and the server
+// keeps serving.
+func TestPanicIsContained(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, MaxRetries: 3, RetryBase: time.Millisecond})
+	s.runHook = func(ctx context.Context, rj *resolvedJob, opts core.RunOptions) (*core.Result, error) {
+		panic("invariant violated")
 	}
-	z := s.statz()
-	if z.RunnerRotations == 0 {
-		t.Fatalf("runner never rotated: %+v", z)
+	status, data, _ := postJob(t, ts, "c1", `{"workload":"li","scale":0.02}`)
+	if status != http.StatusInternalServerError {
+		t.Fatalf("status = %d, body:\n%s", status, data)
 	}
-	if z.RunnerResults > 2 {
-		t.Fatalf("in-memory results (%d) exceed the cap", z.RunnerResults)
+	e := decodeError(t, data)
+	if e.Kind != "panic" || e.Retryable || e.Attempts != 1 || !strings.Contains(e.Error, "invariant violated") {
+		t.Fatalf("error body = %+v", e)
+	}
+	// The failure counter is the happens-before edge proving the worker
+	// is done with the hook before the test swaps it out.
+	waitFor(t, 2*time.Second, func() bool { return s.statz().FailuresByKind["panic"] == 1 })
+
+	s.runHook = nil
+	status, data, _ = postJob(t, ts, "c1", `{"workload":"li","scale":0.02}`)
+	if status != http.StatusOK {
+		t.Fatalf("job after the panic: status = %d, body:\n%s", status, data)
 	}
 }
 

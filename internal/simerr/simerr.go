@@ -13,6 +13,7 @@ package simerr
 
 import (
 	"fmt"
+	"runtime/debug"
 	"strings"
 )
 
@@ -177,3 +178,15 @@ func (e *SimError) Error() string {
 
 // Unwrap exposes the underlying cause to errors.Is / errors.As.
 func (e *SimError) Unwrap() error { return e.Err }
+
+// Recovered converts a value recovered from a panic into the typed
+// KindPanic error, capturing the stack of the recovering goroutine. Call
+// it from the deferred function that called recover.
+func Recovered(p any) *SimError {
+	return &SimError{
+		Kind:       KindPanic,
+		Reason:     fmt.Sprint(p),
+		PanicValue: p,
+		Stack:      string(debug.Stack()),
+	}
+}

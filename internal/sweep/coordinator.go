@@ -45,8 +45,10 @@ type Options struct {
 	RetryCap  time.Duration
 	// Hedge re-issues a still-running attempt on the point's next-ranked
 	// backend after this delay; the first result wins and the loser is
-	// cancelled (0 disables hedging). Hedged duplicates are idempotent:
-	// identical in-flight jobs coalesce onto one simulation server-side.
+	// cancelled (0 disables hedging). The hedge is a separate job on the
+	// other backend, simulated again unless that backend's disk cache
+	// holds the point; simulation is deterministic, so either copy's
+	// result is the same bytes.
 	Hedge time.Duration
 	// ProbeInterval is the /readyz health-probe period (default 1s).
 	ProbeInterval time.Duration
@@ -475,9 +477,9 @@ type verdict struct {
 // attempt runs one (possibly hedged) try: the point goes to the first
 // admissible backend in its rank order; if a hedge delay is configured
 // and elapses without a result, a duplicate goes to the next admissible
-// backend in that order and the first decisive verdict wins. Losers are
-// cancelled, not awaited to completion server-side — the runner
-// coalesces the duplicate onto the winner's simulation anyway.
+// backend in that order and the first decisive verdict wins. The loser is
+// cancelled, not awaited: the request's context aborts its simulation on
+// the other backend, and its result would have been the same bytes.
 func (c *Coordinator) attempt(ctx context.Context, p Point, order []*backend) verdict {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()

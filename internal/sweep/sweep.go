@@ -20,9 +20,9 @@
 //     the service's own admission control.
 //   - Hedged requests: a straggling job is re-issued on its next-ranked
 //     backend after a hedge delay; the first result wins and the loser
-//     is cancelled. Hedged duplicates are safe because a job's identity is
-//     its full config key and identical in-flight jobs coalesce
-//     server-side.
+//     is cancelled. The hedge is a separate job that simulates again on
+//     the other backend. Either copy is a valid answer because
+//     simulation is deterministic: both carry the same bytes.
 //   - Per-backend circuit breakers (closed/open/half-open): consecutive
 //     transient failures — transport errors, sheds, retryable
 //     simerr-taxonomy kinds — open the breaker and divert traffic;
